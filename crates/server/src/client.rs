@@ -4,8 +4,14 @@
 //! [`NodbClient`] is one connection; it is *not* `Sync` — concurrency
 //! comes from opening more connections, which is exactly what the
 //! server's admission control is there to meter.
+//!
+//! Reads are buffered: the connection sits in a 64 KiB [`BufReader`],
+//! so a stream of small row frames costs one `read` syscall per
+//! buffer-full rather than two per frame (length prefix, then body).
+//! Writes bypass the buffer — requests are single frames, flushed
+//! immediately.
 
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 
@@ -17,9 +23,14 @@ use crate::protocol::{
     read_frame, schema_of_columns, write_frame, Frame, StatsPayload, PROTOCOL_VERSION,
 };
 
+/// Capacity of the client's read buffer: two of the server's 32 KiB
+/// flush batches, so one `read` typically drains a whole batch.
+const READ_BUFFER_BYTES: usize = 64 * 1024;
+
 /// Blocking connection to a running `nodb-server`.
 pub struct NodbClient {
-    conn: Conn,
+    /// Buffered for reads; writes go to the socket via `get_mut()`.
+    conn: BufReader<Conn>,
     server: String,
     /// Set when a [`RowStream`] was dropped mid-stream: the socket was
     /// severed to propagate the cancellation, so the connection cannot
@@ -44,7 +55,7 @@ impl NodbClient {
             }
         };
         let mut client = NodbClient {
-            conn,
+            conn: BufReader::with_capacity(READ_BUFFER_BYTES, conn),
             server: String::new(),
             poisoned: false,
         };
@@ -154,8 +165,9 @@ impl NodbClient {
     }
 
     fn send(&mut self, frame: &Frame) -> Result<()> {
-        write_frame(&mut self.conn, frame)?;
-        self.conn.flush()?;
+        let conn = self.conn.get_mut();
+        write_frame(conn, frame)?;
+        conn.flush()?;
         Ok(())
     }
 
@@ -282,7 +294,7 @@ impl Drop for RowStream<'_> {
             // Abandoned mid-stream: sever the socket so the server's
             // next write fails and its scan stops early. The connection
             // cannot carry further statements after this.
-            let _ = self.client.conn.shutdown();
+            let _ = self.client.conn.get_ref().shutdown();
             self.client.poisoned = true;
         }
     }

@@ -22,6 +22,16 @@ impl Conn {
         }
     }
 
+    /// Toggle non-blocking mode. The server flips it on for exactly one
+    /// `read` at each flush boundary to ask "is a Cancel pending?"
+    /// without waiting for the answer.
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.set_nonblocking(nonblocking),
+            Conn::Unix(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
     /// Half/full-close the connection. Used by the client to abandon a
     /// stream mid-flight: the server's next write fails, dropping its
     /// cursor and stopping the raw scan early.

@@ -39,14 +39,14 @@
 //! cursor and stops the underlying raw-file scan at block granularity.
 //!
 //! `Cancel` is the polite version of that disconnect: the client keeps
-//! draining row frames while the server, which polls for inbound frames
-//! at each flush boundary, drops its cursor (the same early-stop path an
-//! abandoned cursor takes) and answers `Cancelled` with the number of
-//! rows it had streamed. Because the server might finish the stream
-//! before noticing, a `Cancel` that arrives *between* statements is
-//! answered with `Cancelled { rows: 0 }` — so a client that sent
-//! `Cancel` always reads exactly one `Cancelled`, whether or not it won
-//! the race, and the connection stays usable either way.
+//! draining row frames while the server, which checks for inbound frames
+//! at each flush boundary without blocking, drops its cursor (the same
+//! early-stop path an abandoned cursor takes) and answers `Cancelled`
+//! with the number of rows it had streamed. Because the server might
+//! finish the stream before noticing, a `Cancel` that arrives *between*
+//! statements is answered with `Cancelled { rows: 0 }` — so a client
+//! that sent `Cancel` always reads exactly one `Cancelled`, whether or
+//! not it won the race, and the connection stays usable either way.
 //!
 //! Every decoder returns a typed [`NoDbError`] on truncated input,
 //! unknown tags, bad lengths or invalid UTF-8 — never a panic.

@@ -26,7 +26,7 @@
 //! not sever.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -489,7 +489,7 @@ fn handle_connection(
                     )?;
                     continue;
                 }
-                let outcome = run_statement(db, state, config, &mut statements, conn, sql, params);
+                let outcome = run_statement(db, state, &mut statements, conn, sql, params);
                 state.release();
                 outcome?;
             }
@@ -536,36 +536,46 @@ fn handle_connection(
 /// one buffer's worth of rows.
 const FLUSH_BYTES: usize = 32 * 1024;
 
-/// Poll for an inbound frame mid-stream without stalling the row flow:
-/// a ~1 ms read window at each flush boundary. Returns `true` when the
-/// client sent [`Frame::Cancel`]; anything else inbound mid-stream is a
-/// protocol violation (requests are not pipelined) and surfaces as an
-/// error, which closes the connection.
-fn poll_cancel(conn: &mut Conn, config: &ServerConfig) -> Result<bool> {
-    conn.set_read_timeout(Some(Duration::from_millis(1)))?;
-    let polled = match read_frame_timeout(conn) {
-        Ok(Some(Frame::Cancel)) => Ok(true),
-        Ok(Some(other)) => Err(NoDbError::parse(format!(
+/// Check for an inbound frame mid-stream without stalling the row flow.
+/// At each flush boundary the socket goes non-blocking for exactly one
+/// `read` of the length prefix: `WouldBlock` means no request is
+/// pending, so the stream pays a few syscalls per flush instead of a
+/// wait, and a `Cancel` lands within one [`FLUSH_BYTES`] flush. If any
+/// prefix bytes did arrive, the rest of the frame is read blocking
+/// (under the connection's poll-interval read timeout) behind the bytes
+/// already consumed, so a `Cancel` split across TCP segments is still
+/// read whole. Returns `true` when the client sent [`Frame::Cancel`];
+/// anything else inbound mid-stream is a protocol violation (requests
+/// are not pipelined) and surfaces as an error, which closes the
+/// connection.
+fn poll_cancel(conn: &mut Conn) -> Result<bool> {
+    let mut head = [0u8; 4];
+    conn.set_nonblocking(true)?;
+    let peeked = conn.read(&mut head);
+    conn.set_nonblocking(false)?;
+    let n = match peeked {
+        Ok(0) => return Err(NoDbError::parse("connection closed mid-stream".to_string())),
+        Ok(n) => n,
+        Err(e)
+            if e.kind() == std::io::ErrorKind::WouldBlock
+                || e.kind() == std::io::ErrorKind::Interrupted =>
+        {
+            return Ok(false)
+        }
+        Err(e) => return Err(NoDbError::Io(e)),
+    };
+    match read_frame_timeout(&mut (&head[..n]).chain(&mut *conn))? {
+        Some(Frame::Cancel) => Ok(true),
+        Some(other) => Err(NoDbError::parse(format!(
             "unexpected frame mid-stream: {other:?}"
         ))),
-        Ok(None) => Err(NoDbError::parse("connection closed mid-stream".to_string())),
-        Err(NoDbError::Io(e))
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            Ok(false)
-        }
-        Err(e) => Err(e),
-    };
-    conn.set_read_timeout(Some(config.poll_interval))?;
-    polled
+        None => Err(NoDbError::parse("connection closed mid-stream".to_string())),
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_statement<'db>(
     db: &'db NoDb,
     state: &State,
-    config: &ServerConfig,
     statements: &mut HashMap<String, Statement<'db>>,
     conn: &mut Conn,
     sql: String,
@@ -623,7 +633,7 @@ fn run_statement<'db>(
                 if buf.len() >= FLUSH_BYTES {
                     conn.write_all(&buf)?;
                     buf.clear();
-                    if poll_cancel(conn, config)? {
+                    if poll_cancel(conn)? {
                         state.queries_cancelled.fetch_add(1, Ordering::Relaxed);
                         write_frame(conn, &Frame::Cancelled { rows })?;
                         return Ok(());

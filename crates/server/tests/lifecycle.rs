@@ -5,6 +5,7 @@
 //! in-flight for exactly as long as they need — no sleeps-as-sync.
 
 use std::io::Write as _;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -12,7 +13,8 @@ use std::time::{Duration, Instant};
 use nodb_common::{NoDbError, Row, Schema, Value};
 use nodb_core::{NoDb, NoDbConfig};
 use nodb_exec::{BoxOp, Operator, TableProvider};
-use nodb_server::{NodbClient, NodbServer, ServerConfig};
+use nodb_server::protocol::{read_frame, write_frame};
+use nodb_server::{Frame, NodbClient, NodbServer, ServerConfig};
 use nodb_sql::BoundExpr;
 
 /// A reusable "hold the scan open" gate: scans report in and then wait
@@ -315,4 +317,92 @@ fn shutdown_drains_in_flight_streams_and_refuses_new_connections() {
     assert_eq!(in_flight.join().unwrap(), 1000);
     let stats = join.join().unwrap().unwrap();
     assert_eq!(stats.queries_executed, 1);
+}
+
+fn execute(sql: &str) -> Frame {
+    Frame::Execute {
+        sql: sql.to_string(),
+        params: vec![],
+    }
+}
+
+/// Read one frame off a raw socket, which must not be at EOF.
+fn next_frame(sock: &mut TcpStream) -> Frame {
+    read_frame(sock)
+        .unwrap()
+        .expect("server closed the connection")
+}
+
+/// Send `sql` on a raw socket and read its schema and the first `rows`
+/// row frames, leaving the rest of the stream in flight.
+fn start_stream(sock: &mut TcpStream, sql: &str, rows: usize) {
+    write_frame(sock, &execute(sql)).unwrap();
+    let schema = next_frame(sock);
+    assert!(matches!(schema, Frame::RowSchema { .. }), "{schema:?}");
+    for _ in 0..rows {
+        let row = next_frame(sock);
+        assert!(matches!(row, Frame::Row(_)), "{row:?}");
+    }
+}
+
+#[test]
+fn cancel_split_mid_prefix_is_read_whole() {
+    // An effectively endless stream: it is still open whenever the
+    // Cancel lands, however the threads are scheduled.
+    let gate = Gate::new();
+    gate.open();
+    let db = gated_engine(&gate, i32::MAX);
+    let (addr, handle, join) = start_tcp(db, ServerConfig::default());
+
+    let mut sock = TcpStream::connect(&addr).unwrap();
+    sock.set_nodelay(true).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let hello = next_frame(&mut sock);
+    assert!(matches!(hello, Frame::Hello { .. }), "{hello:?}");
+    start_stream(&mut sock, "select v from gated", 5);
+
+    // Keep draining on a second handle while the Cancel trickles in, so
+    // the server keeps flushing — and checking for input — between the
+    // two halves of the length prefix. The sleep only spaces the two
+    // writes; no assertion depends on how long it lasts.
+    let mut reader = sock.try_clone().unwrap();
+    let drain = std::thread::spawn(move || loop {
+        match read_frame(&mut reader).unwrap() {
+            Some(Frame::Row(_)) => {}
+            other => return other,
+        }
+    });
+    let cancel = Frame::Cancel.to_bytes().unwrap();
+    sock.write_all(&cancel[..2]).unwrap();
+    std::thread::sleep(Duration::from_millis(5));
+    sock.write_all(&cancel[2..]).unwrap();
+    match drain.join().unwrap() {
+        Some(Frame::Cancelled { rows }) => assert!(rows >= 5, "streamed only {rows} rows"),
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+
+    // The conversation is still in sync: a follow-up query is answered.
+    start_stream(&mut sock, "select v from gated limit 3", 3);
+    let done = next_frame(&mut sock);
+    assert!(matches!(done, Frame::Done { rows: 3 }), "{done:?}");
+
+    // Any other frame mid-stream is a protocol violation (requests are
+    // not pipelined): the server closes the connection rather than
+    // answering it. The client sees the rows already in flight, then a
+    // typed end — EOF or an I/O error — and never a terminator frame.
+    start_stream(&mut sock, "select v from gated", 5);
+    write_frame(&mut sock, &execute("select v from gated")).unwrap();
+    loop {
+        match read_frame(&mut sock) {
+            Ok(Some(Frame::Row(_))) => {}
+            Ok(None) | Err(_) => break,
+            Ok(Some(other)) => panic!("expected the connection to close, got {other:?}"),
+        }
+    }
+
+    handle.shutdown();
+    let stats = join.join().unwrap().unwrap();
+    assert_eq!(stats.queries_cancelled, 1, "{stats:?}");
+    assert_eq!(stats.queries_executed, 3, "{stats:?}");
 }

@@ -240,6 +240,71 @@ fn cancel_aborts_stream_without_severing_the_connection() {
     assert_eq!(stats.queries_failed, 0, "{stats:?}");
 }
 
+/// The wire contract over a unix-domain socket: a multi-flush result
+/// streams bit-identical to the embedded answer, a second stream is
+/// cancelled mid-flight, and the connection carries on. The server's
+/// mid-stream Cancel check toggles the socket's blocking mode, which
+/// runs through the unix arm of the connection here rather than TCP.
+#[test]
+fn unix_socket_streams_cancels_and_reuses_the_connection() {
+    // ~2 MB of row frames: dozens of 32 KiB flushes, and several times
+    // what the socket and the client's read buffer can hold in flight.
+    const WIDE_ROWS: usize = 60_000;
+    let td = TempDir::new("nodb-unix").unwrap();
+    let csv = td.file("wide.csv");
+    let mut w = CsvWriter::create(&csv, CsvOptions::default()).unwrap();
+    for i in 0..WIDE_ROWS {
+        w.write_row(&Row(vec![
+            Value::Int32(i as i32),
+            Value::Text(format!("g{}", i % 5)),
+            Value::Float64(i as f64 / 8.0),
+            Value::Int64(1_000_000_000_000 + i as i64),
+        ]))
+        .unwrap();
+    }
+    w.finish().unwrap();
+    let mut db = NoDb::new(NoDbConfig::postgres_raw()).unwrap();
+    db.register_csv(
+        "wide",
+        &csv,
+        Schema::parse(SCHEMA).unwrap(),
+        CsvOptions::default(),
+        AccessMode::InSitu,
+    )
+    .unwrap();
+    let shared = Arc::new(db);
+    let sock = td.file("nodb.sock");
+    let server =
+        NodbServer::bind_unix(Arc::clone(&shared), &sock, ServerConfig::default()).unwrap();
+    let handle = server.handle();
+    let serving = std::thread::spawn(move || server.serve());
+
+    let mut client = NodbClient::connect(&format!("unix:{}", sock.display())).unwrap();
+    let sql = "select id, grp, score, big from wide";
+    let want = shared.query(sql).unwrap();
+    assert_bit_identical(&client.query(sql).unwrap(), &want, "unix stream");
+
+    let mut stream = client.stream(sql, &[]).unwrap();
+    for row in stream.by_ref().take(100) {
+        row.unwrap();
+    }
+    let streamed = stream.cancel().unwrap();
+    assert!(
+        (100..WIDE_ROWS as u64).contains(&streamed),
+        "cancel must land mid-stream: server streamed {streamed} of {WIDE_ROWS} rows"
+    );
+
+    let r = client.query("select count(*) from wide").unwrap();
+    assert_eq!(r.rows[0].get(0), &Value::Int64(WIDE_ROWS as i64));
+    client.close().unwrap();
+
+    handle.shutdown();
+    let stats = serving.join().unwrap().unwrap();
+    assert_eq!(stats.queries_cancelled, 1, "{stats:?}");
+    assert_eq!(stats.queries_failed, 0, "{stats:?}");
+    assert!(!sock.exists(), "clean shutdown removes the socket file");
+}
+
 #[test]
 fn soak_many_clients_share_one_engine() {
     let f = fixture();

@@ -22,7 +22,15 @@
 //! allowed), `--gate cold_scan` (substring selecting gated benchmarks;
 //! repeatable), `--min-ns 200000` (baseline entries faster than this are
 //! reported but never gated — single-shot smoke timings of micro
-//! benchmarks are pure noise).
+//! benchmarks are pure noise), `--ratio NUM:DEN:MAX` (repeatable; a
+//! same-run ratio gate, see below).
+//!
+//! A ratio gate fails when `mean(NUM) / mean(DEN)`, both taken from the
+//! *current* run, exceeds `MAX`. It compares two paths measured on the
+//! same machine minutes apart (e.g. `warm_query/tcp` against
+//! `warm_query/embedded`), so runner noise largely cancels and no
+//! rebaseline can hide a regression of one path against the other. A
+//! ratio naming an entry absent from the run is an error, never a pass.
 //!
 //! Both files hold flat JSON objects with `"name"`, `"mean_ns"`,
 //! `"min_ns"` and `"iters"` keys — one per line for the shim's sink, one
@@ -112,12 +120,50 @@ fn fmt_ms(ns: u64) -> String {
     format!("{:.3} ms", ns as f64 / 1e6)
 }
 
+/// One `--ratio NUM:DEN:MAX` gate.
+struct RatioGate {
+    num: String,
+    den: String,
+    max: f64,
+}
+
+impl RatioGate {
+    fn parse(spec: &str) -> Option<RatioGate> {
+        let mut parts = spec.split(':');
+        let (Some(num), Some(den), Some(max), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
+            return None;
+        };
+        let max: f64 = max.parse().ok()?;
+        (!num.is_empty() && !den.is_empty() && max > 0.0).then(|| RatioGate {
+            num: num.to_string(),
+            den: den.to_string(),
+            max,
+        })
+    }
+
+    /// `mean(num) / mean(den)` in `current`; an entry missing from the
+    /// run is an error rather than a silent pass.
+    fn ratio(&self, current: &BTreeMap<String, Entry>) -> Result<f64, String> {
+        let mean = |name: &str| {
+            current
+                .get(name)
+                .map(|e| e.mean_ns)
+                .ok_or_else(|| format!("ratio gate entry {name} is missing from this run"))
+        };
+        let (num, den) = (mean(&self.num)?, mean(&self.den)?);
+        Ok(num as f64 / den.max(1) as f64)
+    }
+}
+
 struct CompareArgs {
     baseline: String,
     current: String,
     threshold: f64,
     gates: Vec<String>,
     min_ns: u64,
+    ratios: Vec<RatioGate>,
 }
 
 fn compare(args: CompareArgs) -> Result<bool, String> {
@@ -173,6 +219,19 @@ fn compare(args: CompareArgs) -> Result<bool, String> {
             failures += 1;
         }
     }
+    for gate in &args.ratios {
+        let ratio = gate.ratio(&current)?;
+        let verdict = if ratio > gate.max {
+            failures += 1;
+            "FAIL"
+        } else {
+            "ok"
+        };
+        println!(
+            "{verdict:<22} ratio {} / {}: {ratio:.2}x (max {:.2}x)",
+            gate.num, gate.den, gate.max
+        );
+    }
     if gated == 0 {
         return Err(format!(
             "no baseline entry matches the gate(s) {:?} — wrong baseline file?",
@@ -225,7 +284,8 @@ fn rebaseline(current: &str, out: &str) -> Result<(), String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  bench_check compare --baseline FILE --current FILE \
-         [--threshold 0.25] [--gate cold_scan] [--min-ns 200000]\n  \
+         [--threshold 0.25] [--gate cold_scan] [--min-ns 200000] \
+         [--ratio NUM:DEN:MAX]...\n  \
          bench_check rebaseline --current FILE --out FILE"
     );
     ExitCode::from(2)
@@ -242,6 +302,7 @@ fn main() -> ExitCode {
     let mut threshold = 0.25f64;
     let mut gates: Vec<String> = Vec::new();
     let mut min_ns = 200_000u64;
+    let mut ratios: Vec<RatioGate> = Vec::new();
     let mut i = 1;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -262,6 +323,10 @@ fn main() -> ExitCode {
                 Ok(n) => min_ns = n,
                 Err(_) => return usage(),
             },
+            "--ratio" => match RatioGate::parse(value) {
+                Some(r) => ratios.push(r),
+                None => return usage(),
+            },
             _ => return usage(),
         }
         i += 1;
@@ -279,6 +344,7 @@ fn main() -> ExitCode {
             threshold,
             gates,
             min_ns,
+            ratios,
         }) {
             Ok(true) => ExitCode::SUCCESS,
             Ok(false) => ExitCode::FAILURE,
@@ -333,5 +399,72 @@ mod tests {
         let m = parse_entries(text);
         assert!(!m.contains_key("broken"));
         assert_eq!(m["good"].mean_ns, 7);
+    }
+
+    /// Run `compare` with the ratio gate `spec` over a run holding the
+    /// `current` (name, mean_ns) pairs. The baseline is the run itself,
+    /// so only the ratio gate can fail. `tag` keeps parallel tests'
+    /// scratch files apart.
+    fn compare_with_ratio(tag: &str, current: &[(&str, u64)], spec: &str) -> Result<bool, String> {
+        let dir = std::env::temp_dir().join(format!("bench_check-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let line = |name: &str, ns: u64| {
+            format!("{{\"name\":\"{name}\",\"mean_ns\":{ns},\"min_ns\":{ns},\"iters\":3}}\n")
+        };
+        let body: String = current.iter().map(|&(n, ns)| line(n, ns)).collect();
+        let baseline = dir.join("baseline.json");
+        std::fs::write(&baseline, &body).unwrap();
+        let run = dir.join("current.json");
+        std::fs::write(&run, &body).unwrap();
+        let verdict = compare(CompareArgs {
+            baseline: baseline.display().to_string(),
+            current: run.display().to_string(),
+            threshold: 0.25,
+            gates: vec!["cold_scan".to_string()],
+            min_ns: 0,
+            ratios: vec![RatioGate::parse(spec).unwrap()],
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        verdict
+    }
+
+    const RATIO: &str = "s/cold_scan/tcp:s/cold_scan/embedded:2.0";
+
+    #[test]
+    fn ratio_spec_parses_and_rejects_malformed() {
+        let g = RatioGate::parse(RATIO).unwrap();
+        assert_eq!(g.num, "s/cold_scan/tcp");
+        assert_eq!(g.den, "s/cold_scan/embedded");
+        assert_eq!(g.max, 2.0);
+        for bad in ["a:b", "a:b:c", "a:b:2:3", ":b:2", "a:b:-1"] {
+            assert!(RatioGate::parse(bad).is_none(), "{bad} should not parse");
+        }
+    }
+
+    #[test]
+    fn ratio_gate_passes_within_max() {
+        let run = [
+            ("s/cold_scan/tcp", 1_500_000),
+            ("s/cold_scan/embedded", 1_190_000),
+        ];
+        assert_eq!(compare_with_ratio("pass", &run, RATIO), Ok(true));
+    }
+
+    #[test]
+    fn ratio_gate_fails_above_max() {
+        // The shape of the wire regression this gate exists for: tcp
+        // 8.01 ms against 1.66 ms embedded, both from the same run.
+        let run = [
+            ("s/cold_scan/tcp", 8_010_000),
+            ("s/cold_scan/embedded", 1_660_000),
+        ];
+        assert_eq!(compare_with_ratio("fail", &run, RATIO), Ok(false));
+    }
+
+    #[test]
+    fn ratio_gate_missing_entry_is_an_error() {
+        let run = [("s/cold_scan/embedded", 1_000_000)];
+        let err = compare_with_ratio("missing", &run, RATIO).unwrap_err();
+        assert!(err.contains("s/cold_scan/tcp"), "{err}");
     }
 }
