@@ -13,7 +13,7 @@ use nodb_csv::{CsvOptions, MicroGen};
 use nodb_exec::ops::{HashAggOp, HashJoinOp, Operator, RowsOp, SortAggOp};
 use nodb_exec::{eval, eval_predicate};
 use nodb_json::{JsonFormat, JsonlGen};
-use nodb_posmap::{BlockCollector, PosMapConfig, PositionalMap};
+use nodb_posmap::{Chunk, PosMapConfig, PositionalMap, SegmentCollector};
 use nodb_server::protocol::{read_frame, Frame};
 use nodb_server::{NodbClient, NodbServer, ServerConfig};
 use nodb_sql::expr::AggExpr;
@@ -70,17 +70,24 @@ fn bench_parse(c: &mut Criterion) {
     g.finish();
 }
 
+/// One full 4096-row × 8-attribute positional-map chunk for `block`.
+fn block_chunk(block: u64) -> Chunk {
+    let mut col = SegmentCollector::new((0..8).collect());
+    for r in 0..4096u32 {
+        let offs: Vec<u32> = (0..8).map(|a| a * 12 + r % 7).collect();
+        col.push_row(&offs);
+    }
+    col.into_chunks(block * 4096, 4096)
+        .pop()
+        .expect("one block of rows")
+}
+
 fn bench_posmap(c: &mut Criterion) {
     let mut g = c.benchmark_group("substrate_posmap");
     // A populated map: 32 blocks × 4096 rows × 8 attrs.
     let mut map = PositionalMap::new(PosMapConfig::default());
     for block in 0..32u64 {
-        let mut col = BlockCollector::new(block, (0..8).collect());
-        for r in 0..4096u32 {
-            let offs: Vec<u32> = (0..8).map(|a| a * 12 + r % 7).collect();
-            col.push_row(&offs);
-        }
-        map.insert(col.build());
+        map.insert(block_chunk(block));
     }
     g.bench_function("fetch_block_exact", |b| {
         b.iter(|| map.fetch_block(7, &[2, 5]));
@@ -90,14 +97,7 @@ fn bench_posmap(c: &mut Criterion) {
     });
     g.bench_function("insert_chunk_4096x8", |b| {
         b.iter_batched(
-            || {
-                let mut col = BlockCollector::new(99, (0..8).collect());
-                for r in 0..4096u32 {
-                    let offs: Vec<u32> = (0..8).map(|a| a * 12 + r % 7).collect();
-                    col.push_row(&offs);
-                }
-                col.build()
-            },
+            || block_chunk(99),
             |chunk| map.insert(chunk),
             BatchSize::SmallInput,
         );

@@ -117,7 +117,8 @@ pub struct QueryProfile {
     /// Raw-scan phases attributed to this query.
     pub scan: PhaseProfile,
     /// Estimated nanoseconds inside cursor iteration (operator-tree
-    /// execution end to end), sampled like the scan phases.
+    /// execution end to end): calls up to the first row are timed in
+    /// full, later ones sampled like the scan phases.
     pub exec_ns: u64,
     /// Rows the cursor has returned so far.
     pub rows: u64,

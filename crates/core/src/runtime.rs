@@ -9,8 +9,12 @@
 //! atomics. Cold scans stage their work per chunk and merge it in short
 //! write-locked critical sections.
 
+use std::fs::{File, Metadata};
+use std::io::{Read, Seek, SeekFrom};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::SystemTime;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -146,9 +150,48 @@ pub struct RawTableRuntime {
     /// Per-attribute access-frequency log; scans record touches here and
     /// the budgeted cache/posmap eviction policies consult it.
     pub workload: Arc<WorkloadLog>,
-    /// File length when the auxiliary structures were last valid (append
-    /// / in-place-edit detection, §4.5).
-    file_len_seen: Mutex<u64>,
+    /// What the file looked like when the auxiliary structures were last
+    /// valid (append / in-place-edit detection, §4.5).
+    file_len_seen: Mutex<FileSeen>,
+}
+
+/// Bytes of the file kept just before its last observed length: a
+/// rewrite that keeps the old length's prefix but changes these bytes is
+/// not mistaken for an append.
+const FINGERPRINT_BYTES: u64 = 64;
+
+/// What a scan last observed of a raw file: enough to tell an append
+/// (same file, grown, old bytes untouched) from a rewrite.
+#[derive(Debug, Default)]
+struct FileSeen {
+    /// `(device, inode)` on unix; `None` elsewhere or before the first
+    /// observation.
+    id: Option<(u64, u64)>,
+    len: u64,
+    modified: Option<SystemTime>,
+    /// Up to [`FINGERPRINT_BYTES`] bytes just before `len`.
+    fingerprint: Vec<u8>,
+}
+
+#[cfg(unix)]
+fn file_id(meta: &Metadata) -> Option<(u64, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    Some((meta.dev(), meta.ino()))
+}
+
+#[cfg(not(unix))]
+fn file_id(_meta: &Metadata) -> Option<(u64, u64)> {
+    None
+}
+
+/// The up to [`FINGERPRINT_BYTES`] bytes of `path` just before `end`.
+fn fingerprint(path: &Path, end: u64) -> Result<Vec<u8>> {
+    let start = end.saturating_sub(FINGERPRINT_BYTES);
+    let mut f = File::open(path)?;
+    f.seek(SeekFrom::Start(start))?;
+    let mut buf = Vec::new();
+    f.take(end - start).read_to_end(&mut buf)?;
+    Ok(buf)
 }
 
 impl RawTableRuntime {
@@ -171,26 +214,43 @@ impl RawTableRuntime {
             metrics: ScanMetricsAtomic::default(),
             profile: PhaseProfileAtomic::default(),
             workload,
-            file_len_seen: Mutex::new(0),
+            file_len_seen: Mutex::new(FileSeen::default()),
         }
     }
 
-    /// React to the file's current length (§4.5): growth re-opens the
-    /// end-of-line index for appends; shrinkage invalidates everything.
-    pub fn observe_file_len(&self, len: u64) -> Result<()> {
+    /// React to the file's current state (§4.5), from the metadata the
+    /// scan just read. An append — same file identity, grown, the bytes
+    /// before the old length unchanged — re-opens the end-of-line index.
+    /// A new identity (replaced by rename), a shrink, a same-length
+    /// rewrite (mtime moved) or growth over changed bytes invalidates
+    /// every auxiliary structure.
+    pub fn observe_file(&self, path: &Path, meta: &Metadata) -> Result<()> {
         let mut seen = self.file_len_seen.lock();
-        if len < *seen {
-            // In-place modification: auxiliary structures are stale.
+        let (id, len, modified) = (file_id(meta), meta.len(), meta.modified().ok());
+        let replaced = seen.id.is_some() && id != seen.id;
+        if !replaced && len == seen.len && modified == seen.modified {
+            return Ok(());
+        }
+        let rewritten = replaced
+            || len < seen.len
+            || len == seen.len
+            || fingerprint(path, seen.len)? != seen.fingerprint;
+        if rewritten {
             self.posmap.write().clear();
             self.cache.write().clear();
             self.stats.lock().clear();
-        } else if len > *seen {
+        } else {
             let mut pm = self.posmap.write();
             if pm.eol().is_complete() {
                 pm.eol_mut().reopen_for_append();
             }
         }
-        *seen = len;
+        *seen = FileSeen {
+            id,
+            len,
+            modified,
+            fingerprint: fingerprint(path, len)?,
+        };
         Ok(())
     }
 
@@ -201,6 +261,6 @@ impl RawTableRuntime {
         self.posmap.write().clear();
         self.cache.write().clear();
         self.stats.lock().clear();
-        *seen = 0;
+        *seen = FileSeen::default();
     }
 }

@@ -19,7 +19,11 @@
 //!
 //! Internally the scan works block-at-a-time (one positional-map block,
 //! default 4096 tuples) for locality, but exposes the Volcano
-//! one-tuple-per-call interface the host executor expects.
+//! one-tuple-per-call interface the host executor expects. One
+//! per-record body (`select_record`) does selective parsing and tuple
+//! formation for both the cold kernel and the mapped path; each supplies
+//! its value source (a raw parse at the tokenized start, or a cache/map
+//! lookup).
 //!
 //! # Concurrency
 //!
@@ -30,23 +34,25 @@
 //!   per-block temporary map and the cache columns are snapshotted, the
 //!   locks released, and rows produced without holding anything. Freshly
 //!   collected chunks/columns are merged back in short write sections.
-//! * **Cold regions** run either the classic block-at-a-time sequential
-//!   pass, or — with `scan_threads > 1` — a *chunked parallel* pass: the
-//!   un-indexed byte range is split into line-aligned chunks
-//!   ([`nodb_csv::split_line_aligned`]), a scoped worker tokenizes and
-//!   parses each chunk into private staging (EOL segment, positional-map
-//!   segment, cache stage, sampled statistics, qualifying rows), and the
-//!   merge walks the chunks in file order so rows are emitted exactly as
-//!   a single-threaded scan would emit them.
+//! * **Cold regions** run one record kernel (`scan_records`): tokenize,
+//!   pushdown screen, selective parse, filter, and stage into private
+//!   staging (EOL segment, positional-map segment, cache stage, sampled
+//!   statistics, qualifying rows). The single-threaded pass is one
+//!   kernel call on the calling thread, bounded to the rest of the
+//!   current positional-map block. With `scan_threads > 1` the
+//!   un-indexed byte range is instead split into line-aligned chunks
+//!   ([`nodb_csv::split_line_aligned`]), one kernel call per scoped
+//!   worker. Both passes fold their staging through one merge that
+//!   walks the runs in file order, so rows are emitted exactly as a
+//!   single-threaded scan would emit them.
 //! * Concurrent cold scans of the same region are safe: the EOL index
 //!   ignores re-recorded rows, newer map chunks shadow identical older
 //!   ones, and cache merges fill holes with equal values.
 
 use std::collections::VecDeque;
+use std::ops::DerefMut;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-use std::sync::Arc as StdArc;
 
 use nodb_cache::{CachedColumn, ChunkStage, ColumnBuilder};
 use nodb_common::{
@@ -54,7 +60,7 @@ use nodb_common::{
 };
 use nodb_csv::lines::{split_line_aligned_src, ByteRange, LineReader, SlidingWindow};
 use nodb_exec::{eval_predicate, Operator, ValueBatch};
-use nodb_posmap::{AttrPositions, BlockCollector, SegmentCollector};
+use nodb_posmap::{AttrPositions, PositionalMap, SegmentCollector};
 use nodb_sql::BoundExpr;
 use nodb_stats::StatsBuilder;
 
@@ -225,8 +231,8 @@ impl InSituScanOp {
     }
 
     fn prepare(&mut self) -> Result<()> {
-        let file_len = std::fs::metadata(&self.ctx.path)?.len();
-        self.runtime.observe_file_len(file_len)?;
+        let meta = std::fs::metadata(&self.ctx.path)?;
+        self.runtime.observe_file(&self.ctx.path, &meta)?;
         self.runtime.metrics.add(&ScanMetrics {
             scans: 1,
             ..ScanMetrics::default()
@@ -291,21 +297,24 @@ impl InSituScanOp {
         }
     }
 
-    /// Sequential-tokenization region: rows past the end-of-line
-    /// frontier, processed one positional-map block at a time under the
-    /// map's write lock. Populates the EOL index and (optionally) map,
-    /// cache and statistics while emitting qualifying tuples.
+    /// Statistics-builder attributes, parallel to `stat_builders` (the
+    /// kernel samples values for these).
+    fn stat_locals(&self) -> Vec<usize> {
+        self.stat_builders.iter().map(|(l, _)| *l).collect()
+    }
+
+    /// Sequential-tokenization region: the rows past the end-of-line
+    /// frontier up to the end of the current positional-map block, run as
+    /// one bounded kernel call on the calling thread under the map's
+    /// write lock. Populates the EOL index and (optionally) map, cache
+    /// and statistics while emitting qualifying tuples.
     fn process_sequential_block(&mut self) -> Result<()> {
         let runtime = Arc::clone(&self.runtime);
         // Scans that maintain no positional state (the external-files /
         // baseline profile) have nothing to write into the map: skip the
         // write lock so concurrent baseline queries never serialize on
         // state they do not touch.
-        let mut pm = if self.flags.eol || self.flags.posmap {
-            Some(runtime.posmap.write())
-        } else {
-            None
-        };
+        let mut pm = (self.flags.eol || self.flags.posmap).then(|| runtime.posmap.write());
         if self.reader.is_none() && self.flags.eol {
             // Re-check under the write lock: a concurrent scan may have
             // indexed past us while we waited, in which case the mapped
@@ -318,11 +327,6 @@ impl InSituScanOp {
                 return Ok(());
             }
         }
-        let block_rows = self.block_rows;
-        let max_attr = self.ctx.projection.last().copied().unwrap_or(0);
-        let block = self.next_row / block_rows;
-        let block_end = (block + 1) * block_rows;
-
         if self.reader.is_none() {
             let start = match pm.as_ref() {
                 // The shared EOL index was dropped/rebuilt underneath us
@@ -348,258 +352,33 @@ impl InSituScanOp {
             }
             self.reader = Some(reader);
         }
-        let mut metrics = ScanMetrics::default();
-        let mut prof = PhaseProfile::default();
-        let mut clock = SampledClock::default();
-        let mut line = Vec::new();
-        let mut starts: Vec<u32> = Vec::with_capacity(max_attr + 1);
-        // Keep every position tokenized along the way (§4.2, "all
-        // positions from 1 to 15 may be kept"). Chunk storage is
-        // anchored at block starts, so a pass resuming mid-block (the
-        // tail of an appended file) must not collect — the mapped path
-        // re-collects the grown block from its start later.
-        let mut collector = if self.flags.posmap
-            && !self.ctx.projection.is_empty()
-            && self.next_row.is_multiple_of(block_rows)
-        {
-            Some(BlockCollector::new(block, (0..=max_attr as u32).collect()))
-        } else {
-            None
+        let first_row = self.next_row;
+        let block_end = (first_row / self.block_rows + 1) * self.block_rows;
+        // Chunk storage is anchored at block starts, so a pass resuming
+        // mid-block (the tail of an appended file) stages no map rows —
+        // the mapped path re-collects the grown block from its start.
+        let staging = AuxFlags {
+            posmap: self.flags.posmap && first_row.is_multiple_of(self.block_rows),
+            ..self.flags
         };
-        // Values are staged and sized to the rows actually seen (the last
-        // block of a file is short; preallocating full columns would
-        // inflate cache accounting).
-        let mut staged: Vec<Vec<(u32, Value)>> =
-            (0..self.ctx.projection.len()).map(|_| Vec::new()).collect();
-        let mut row_buf: Vec<Value> = vec![Value::Null; self.ctx.projection.len()];
-        // Early rejection is only sound when this pass populates no
-        // auxiliary structure: map collection and cache staging need
-        // every row's full attribute frontier, statistics need every
-        // row's WHERE values.
-        let lean = collector.is_none() && !self.flags.cache && self.stat_builders.is_empty();
-
-        while self.next_row < block_end {
-            let reader = held(self.reader.as_mut(), "reader opened above")?;
-            clock.start(self.next_row);
-            let fetched = reader.next_line(&mut line)?;
-            clock.stop(&mut prof.io_ns);
-            let Some(line_start) = fetched else {
-                // Completing fixes the row count, so only do it when our
-                // records actually reached the index (not when we were
-                // continuing privately past a dropped index).
-                if self.flags.eol {
-                    let pm = held(pm.as_mut(), "eol flag implies posmap lock")?;
-                    if pm.eol().indexed_rows() == self.next_row {
-                        pm.eol_mut().set_complete();
-                    }
-                }
-                self.done = true;
-                break;
-            };
-            let next_start = reader.offset();
-            if self.flags.eol {
-                held(pm.as_mut(), "eol flag implies posmap lock")?
-                    .eol_mut()
-                    .record(self.next_row, line_start, next_start);
-            }
-            metrics.bytes_tokenized += line.len() as u64 + 1;
-            if self.ctx.projection.is_empty() {
-                // Pure row counting (e.g. COUNT(*)): nothing to tokenize.
-                self.out.push_back(Row::new());
-                metrics.rows_emitted += 1;
-                self.next_row += 1;
-                continue;
-            }
-            starts.clear();
-            // Pushdown fast path: tokenize only up to the predicate
-            // frontier, test, and skip the rest of the record on a miss.
-            let mut prefix_found = None;
-            if let Some(pred) = self.ctx.pred.as_ref().filter(|_| lean) {
-                clock.start(self.next_row);
-                let pfound = self
-                    .ctx
-                    .format
-                    .positions_upto(&line, pred.max_attr(), &mut starts)
-                    .map_err(|e| {
-                        e.at_raw_location(&self.ctx.path, Some(self.next_row), Some(line_start))
-                    })?;
-                clock.stop(&mut prof.tokenize_ns);
-                if pfound < pred.max_attr() + 1 {
-                    return Err(NoDbError::parse(format!(
-                        "record has {pfound} fields, need at least {}",
-                        pred.max_attr() + 1
-                    ))
-                    .at_raw_location(
-                        &self.ctx.path,
-                        Some(self.next_row),
-                        Some(line_start),
-                    ));
-                }
-                metrics.fields_tokenized += pfound as u64;
-                clock.start(self.next_row);
-                let ctx = &self.ctx;
-                let row_id = self.next_row;
-                let keep = pred.matches(&*ctx.format, &line, &starts, &mut |local, start| {
-                    parse_value(
-                        ctx,
-                        &line,
-                        start,
-                        local,
-                        Some(row_id),
-                        line_start,
-                        &mut metrics,
-                    )
-                })?;
-                clock.stop(&mut prof.parse_ns);
-                if !keep {
-                    metrics.rows_rejected_early += 1;
-                    metrics.fields_skipped_early += (max_attr - pred.max_attr()) as u64;
-                    self.next_row += 1;
-                    continue;
-                }
-                prefix_found = Some(pfound);
-            }
-            clock.start(self.next_row);
-            let found = match prefix_found {
-                // The row survived the screen: grow tokenization from
-                // the predicate frontier to the projection frontier.
-                Some(pfound) => {
-                    let total = self
-                        .ctx
-                        .format
-                        .positions_extend(&line, max_attr, &mut starts)
-                        .map_err(|e| {
-                            e.at_raw_location(&self.ctx.path, Some(self.next_row), Some(line_start))
-                        })?;
-                    metrics.fields_tokenized += total.saturating_sub(pfound) as u64;
-                    total
-                }
-                None => self
-                    .ctx
-                    .format
-                    .positions_upto(&line, max_attr, &mut starts)
-                    .map_err(|e| {
-                        e.at_raw_location(&self.ctx.path, Some(self.next_row), Some(line_start))
-                    })?,
-            };
-            clock.stop(&mut prof.tokenize_ns);
-            if found < max_attr + 1 {
-                return Err(NoDbError::parse(format!(
-                    "record has {found} fields, need at least {}",
-                    max_attr + 1
-                ))
-                .at_raw_location(
-                    &self.ctx.path,
-                    Some(self.next_row),
-                    Some(line_start),
-                ));
-            }
-            if prefix_found.is_none() {
-                metrics.fields_tokenized += found as u64;
-            }
-            if let Some(c) = collector.as_mut() {
-                c.push_row(&starts);
-            }
-
-            // Selective parsing: WHERE attributes first.
-            let local_row = (self.next_row % block_rows) as usize;
-            for v in row_buf.iter_mut() {
-                *v = Value::Null;
-            }
-            clock.start(self.next_row);
-            let mut ok = true;
-            for li in 0..self.ctx.where_locals.len() {
-                let local = self.ctx.where_locals[li];
-                let start = starts[self.ctx.projection[local]];
-                let v = parse_value(
-                    &self.ctx,
-                    &line,
-                    start,
-                    local,
-                    Some(self.next_row),
-                    line_start,
-                    &mut metrics,
-                )?;
-                if self.flags.cache {
-                    staged[local].push((local_row as u32, v.clone()));
-                }
-                offer_stat(&self.ctx, &mut self.stat_builders, local, self.next_row, &v);
-                row_buf[local] = v;
-            }
-            // Evaluate every conjunct against the buffer itself (moved
-            // into a `Row` shell and back) — no per-conjunct clone.
-            let probe = Row(std::mem::take(&mut row_buf));
-            for f in &self.ctx.filters {
-                if !eval_predicate(f, &probe)? {
-                    ok = false;
-                    break;
-                }
-            }
-            row_buf = probe.0;
-            if ok {
-                for li in 0..self.ctx.select_locals.len() {
-                    let local = self.ctx.select_locals[li];
-                    let start = starts[self.ctx.projection[local]];
-                    let v = parse_value(
-                        &self.ctx,
-                        &line,
-                        start,
-                        local,
-                        Some(self.next_row),
-                        line_start,
-                        &mut metrics,
-                    )?;
-                    if self.flags.cache {
-                        staged[local].push((local_row as u32, v.clone()));
-                    }
-                    offer_stat(&self.ctx, &mut self.stat_builders, local, self.next_row, &v);
-                    row_buf[local] = v;
-                }
-                self.out.push_back(Row(row_buf.clone()));
-                metrics.rows_emitted += 1;
-            }
-            clock.stop(&mut prof.parse_ns);
-            self.next_row += 1;
-        }
-
-        let rows_seen = (self.next_row - block * block_rows) as usize;
-        if let Some(c) = collector {
-            if c.rows() > 0 {
-                held(pm.as_mut(), "posmap flag implies posmap lock")?.insert(c.build());
-            }
-        }
-        drop(pm);
-        if self.flags.cache && rows_seen > 0 {
-            let mut cache = runtime.cache.write();
-            for (local, vals) in staged.into_iter().enumerate() {
-                if vals.is_empty() {
-                    continue;
-                }
-                let attr = self.ctx.projection[local];
-                let mut b = ColumnBuilder::new(
-                    block,
-                    attr as u32,
-                    self.ctx.schema.field(attr).dtype,
-                    rows_seen,
-                );
-                for (r, v) in vals {
-                    b.set(r as usize, &v);
-                }
-                cache.insert(b.build());
-            }
-        }
-        // Sequential tokenization reads exactly the bytes it tokenizes.
-        prof.io_bytes = metrics.bytes_tokenized;
-        prof.tokenize_bytes = metrics.bytes_tokenized;
-        prof.parse_values = metrics.fields_parsed;
-        self.add_profile(&prof);
-        runtime.metrics.add(&metrics);
+        let stat_locals = self.stat_locals();
+        let reader = held(self.reader.as_mut(), "reader opened above")?;
+        let run = scan_records(
+            &self.ctx,
+            reader,
+            block_end - first_row,
+            Some(first_row),
+            staging,
+            &stat_locals,
+        )?;
+        self.absorb(pm, first_row, vec![run]);
         Ok(())
     }
 
     /// Chunked parallel pass over the whole un-indexed tail of the file:
-    /// split into line-aligned byte ranges, scan each on a scoped worker
-    /// thread into private staging, then merge in file order.
+    /// split into line-aligned byte ranges, run the kernel on each on a
+    /// scoped worker thread into private staging, then merge in file
+    /// order.
     fn process_parallel_tail(&mut self) -> Result<()> {
         let runtime = Arc::clone(&self.runtime);
         // One source for the whole pass: opened (and, on the mmap
@@ -608,13 +387,9 @@ impl InSituScanOp {
         // split and workers consistent under concurrent appends.
         let src = Arc::new(ByteSource::open(&self.ctx.path, self.ctx.io)?);
         let file_len = src.len();
-        let (mut start_byte, first_row, block_rows) = {
+        let (mut start_byte, first_row) = {
             let pm = runtime.posmap.read();
-            (
-                pm.eol().frontier(),
-                pm.eol().indexed_rows(),
-                pm.block_rows(),
-            )
+            (pm.eol().frontier(), pm.eol().indexed_rows())
         };
         if self.flags.eol && first_row != self.next_row {
             // Raced with a concurrent scan (index grew past us → mapped
@@ -640,22 +415,9 @@ impl InSituScanOp {
             }
         }
         let ranges = split_line_aligned_src(&src, start_byte, file_len, self.threads)?;
-        if ranges.is_empty() {
-            if self.flags.eol {
-                let mut pm = runtime.posmap.write();
-                // Completing fixes the row count, so only do it when the
-                // index still holds exactly the rows we observed (a
-                // concurrent drop_aux may have cleared it since).
-                if pm.eol().indexed_rows() == first_row {
-                    pm.eol_mut().set_complete();
-                }
-            }
-            self.done = true;
-            return Ok(());
-        }
 
         // Fan out: one scoped worker per chunk, each with private staging.
-        let stat_locals: Vec<usize> = self.stat_builders.iter().map(|(l, _)| *l).collect();
+        let stat_locals = self.stat_locals();
         let ctx = &self.ctx;
         let flags = self.flags;
         let results: Vec<Result<ChunkScan>> = std::thread::scope(|s| {
@@ -664,7 +426,10 @@ impl InSituScanOp {
                 .map(|&range| {
                     let stat_locals = &stat_locals;
                     let src = Arc::clone(&src);
-                    s.spawn(move || scan_chunk(ctx, src, range, flags, stat_locals))
+                    s.spawn(move || {
+                        let mut reader = LineReader::from_source(src, range);
+                        scan_records(ctx, &mut reader, u64::MAX, None, flags, stat_locals)
+                    })
                 })
                 .collect();
             handles
@@ -675,81 +440,90 @@ impl InSituScanOp {
                 })
                 .collect()
         });
-        let mut outputs = Vec::with_capacity(results.len());
-        for r in results {
-            outputs.push(r?);
-        }
+        let outputs = results.into_iter().collect::<Result<Vec<_>>>()?;
+        let pm = (self.flags.eol || self.flags.posmap).then(|| runtime.posmap.write());
+        self.absorb(pm, first_row, outputs);
+        Ok(())
+    }
 
-        // Merge in file order: EOL segments and emitted rows first (one
-        // write section), then block-aligned map chunks and cache
-        // columns.
+    /// The merge both cold passes share: fold kernel runs — consecutive
+    /// in file order, the first starting at global row `first_row` —
+    /// into the scan and the table's auxiliary structures. EOL segments
+    /// and block-aligned map chunks go in under `pm` (the map's write
+    /// lock, held when this scan maintains positional state); cache
+    /// columns after the lock is released. The pass reached the end of
+    /// the file when its last run did (a pass of no runs found nothing
+    /// left to read).
+    fn absorb(
+        &mut self,
+        mut pm: Option<impl DerefMut<Target = PositionalMap>>,
+        first_row: u64,
+        runs: Vec<ChunkScan>,
+    ) {
+        let eof = runs.last().is_none_or(|r| r.eof);
         let mut metrics = ScanMetrics::default();
         let mut prof = PhaseProfile::default();
         let mut seg_acc: Option<SegmentCollector> = None;
         let mut stage_acc: Option<ChunkStage> = None;
-        let mut rows_so_far: u64 = 0;
-        {
-            let mut pm = (self.flags.eol || self.flags.posmap).then(|| runtime.posmap.write());
-            for o in outputs {
-                let base_row = first_row + rows_so_far;
-                let n_rows = o.line_starts.len() as u64;
-                if self.flags.eol {
-                    if let Some(pm) = pm.as_mut() {
-                        pm.eol_mut().absorb_segment(base_row, &o.line_starts, o.end);
-                    }
+        let mut rows: u64 = 0;
+        for run in runs {
+            if self.flags.eol {
+                if let Some(pm) = pm.as_mut() {
+                    pm.eol_mut()
+                        .absorb_segment(first_row + rows, &run.line_starts, run.end);
                 }
-                if let Some(seg) = o.posmap {
-                    match seg_acc.as_mut() {
-                        Some(acc) => acc.append(seg),
-                        None => seg_acc = Some(seg),
-                    }
-                }
-                if let Some(stage) = o.cache {
-                    match stage_acc.as_mut() {
-                        Some(acc) => acc.append(stage, rows_so_far as u32),
-                        None => stage_acc = Some(stage),
-                    }
-                }
-                for (i, samples) in o.stat_samples.into_iter().enumerate() {
-                    for v in samples {
-                        self.stat_builders[i].1.offer(&v);
-                    }
-                }
-                self.out.extend(o.emitted);
-                metrics.merge(&o.metrics);
-                prof.merge(&o.profile);
-                rows_so_far += n_rows;
             }
-            if let Some(pm) = pm.as_mut() {
-                // Same guard as the sequential EOF path: only fix the row
-                // count when our segments actually reached the index — a
-                // drop_aux between fan-out and merge gap-ignores them,
-                // and completing an emptied index would freeze row_count
-                // at 0 for every other query.
-                if self.flags.eol && pm.eol().indexed_rows() == first_row + rows_so_far {
-                    pm.eol_mut().set_complete();
+            if let Some(seg) = run.posmap {
+                match seg_acc.as_mut() {
+                    Some(acc) => acc.append(seg),
+                    None => seg_acc = Some(seg),
                 }
-                if let Some(seg) = seg_acc.take() {
-                    for chunk in seg.into_chunks(first_row, block_rows) {
-                        pm.insert(chunk);
-                    }
+            }
+            if let Some(stage) = run.cache {
+                match stage_acc.as_mut() {
+                    // CAST: a pass covers < 2^32 rows (u32 row ids).
+                    Some(acc) => acc.append(stage, rows as u32),
+                    None => stage_acc = Some(stage),
+                }
+            }
+            for (i, samples) in run.stat_samples.into_iter().enumerate() {
+                for v in samples {
+                    self.stat_builders[i].1.offer(&v);
+                }
+            }
+            self.out.extend(run.emitted);
+            metrics.merge(&run.metrics);
+            prof.merge(&run.profile);
+            rows += run.line_starts.len() as u64;
+        }
+        let block_rows = self.block_rows as usize;
+        if let Some(pm) = pm.as_mut() {
+            // Completing fixes the row count, so only do it when our rows
+            // actually reached the index — a drop_aux mid-pass gap-ignores
+            // them (or we were continuing privately past a dropped
+            // index), and completing an emptied index would freeze
+            // row_count at 0 for every other query.
+            if eof && self.flags.eol && pm.eol().indexed_rows() == first_row + rows {
+                pm.eol_mut().set_complete();
+            }
+            if let Some(seg) = seg_acc {
+                for chunk in seg.into_chunks(first_row, block_rows) {
+                    pm.insert(chunk);
                 }
             }
         }
-        if let Some(stage) = stage_acc.take() {
-            if !stage.is_empty() {
-                let cols = stage.into_columns(first_row, rows_so_far, block_rows);
-                let mut cache = runtime.cache.write();
-                for c in cols {
-                    cache.insert(c);
-                }
+        drop(pm);
+        if let Some(stage) = stage_acc.filter(|s| !s.is_empty()) {
+            let cols = stage.into_columns(first_row, rows, block_rows);
+            let mut cache = self.runtime.cache.write();
+            for c in cols {
+                cache.insert(c);
             }
         }
         self.add_profile(&prof);
-        runtime.metrics.add(&metrics);
-        self.next_row = first_row + rows_so_far;
-        self.done = true;
-        Ok(())
+        self.runtime.metrics.add(&metrics);
+        self.next_row = first_row + rows;
+        self.done = eof;
     }
 
     /// Map-assisted region: the EOL index covers these rows. Everything
@@ -836,18 +610,14 @@ impl InSituScanOp {
             Some(e) => e,
             None => runtime.posmap.write().fetch_block(block, &needed).entries,
         };
-        let cached: Vec<Option<StdArc<CachedColumn>>> = if self.flags.cache {
+        let cached: Vec<Option<Arc<CachedColumn>>> = if self.flags.cache {
             let cache = runtime.cache.read();
             needed.iter().map(|&a| cache.get_shared(block, a)).collect()
         } else {
             vec![None; needed.len()]
         };
 
-        let mut collector = if collect {
-            Some(BlockCollector::new(block, needed.clone()))
-        } else {
-            None
-        };
+        let mut collector = collect.then(|| SegmentCollector::new(needed.clone()));
         // Cache columns are only (re)built for attributes the file must
         // supply; fully cached columns add no write-back work — warm
         // queries must not pay for the cache they benefit from.
@@ -930,15 +700,12 @@ impl InSituScanOp {
                 }
             }
 
-            for v in row_buf.iter_mut() {
-                *v = Value::Null;
-            }
             let row_id = block_start + r as u64;
-            let mut ok = true;
             // Compiled-predicate screen: convert only the tested columns
             // (cache first, then map-assisted positions) and skip the
             // row's remaining WHERE/SELECT conversions on a miss.
             if let Some(pred) = self.ctx.pred.as_ref().filter(|_| lean) {
+                let mut keep = true;
                 for item in pred.items() {
                     let (v, _) = value_for(
                         &self.ctx,
@@ -954,82 +721,56 @@ impl InSituScanOp {
                         &mut metrics,
                     )?;
                     if !item.op.test_value(&v)? {
-                        ok = false;
+                        keep = false;
                         break;
                     }
                 }
-                if !ok {
+                if !keep {
                     metrics.rows_rejected_early += 1;
                     clock.stop(&mut prof.parse_ns);
                     continue;
                 }
             }
-            for li in 0..self.ctx.where_locals.len() {
-                let local = self.ctx.where_locals[li];
-                let (v, from_cache) = value_for(
-                    &self.ctx,
-                    line,
-                    &needed,
-                    local,
-                    &entries,
-                    &cached,
-                    r,
-                    collect.then_some(&positions),
-                    row_id,
-                    line_start,
-                    &mut metrics,
-                )?;
-                if !from_cache {
-                    if let Some(b) = cache_builders[local].as_mut() {
-                        b.set(r, &v);
+            let ctx = &self.ctx;
+            let stat_builders = &mut self.stat_builders;
+            let qualifies = select_record(
+                ctx,
+                &mut row_buf,
+                #[inline(always)]
+                |local| {
+                    let (v, from_cache) = value_for(
+                        ctx,
+                        line,
+                        &needed,
+                        local,
+                        &entries,
+                        &cached,
+                        r,
+                        collect.then_some(&positions),
+                        row_id,
+                        line_start,
+                        &mut metrics,
+                    )?;
+                    if !from_cache {
+                        if let Some(b) = cache_builders[local].as_mut() {
+                            b.set(r, &v);
+                        }
+                        offer_stat(ctx, stat_builders, local, row_id, &v);
                     }
-                    offer_stat(&self.ctx, &mut self.stat_builders, local, row_id, &v);
-                }
-                row_buf[local] = v;
+                    Ok(v)
+                },
+            )?;
+            if qualifies {
+                self.out.push_back(Row(row_buf.clone()));
+                metrics.rows_emitted += 1;
             }
-            let probe = Row(std::mem::take(&mut row_buf));
-            for f in &self.ctx.filters {
-                if !eval_predicate(f, &probe)? {
-                    ok = false;
-                    break;
-                }
-            }
-            row_buf = probe.0;
-            if !ok {
-                clock.stop(&mut prof.parse_ns);
-                continue;
-            }
-            for li in 0..self.ctx.select_locals.len() {
-                let local = self.ctx.select_locals[li];
-                let (v, from_cache) = value_for(
-                    &self.ctx,
-                    line,
-                    &needed,
-                    local,
-                    &entries,
-                    &cached,
-                    r,
-                    collect.then_some(&positions),
-                    row_id,
-                    line_start,
-                    &mut metrics,
-                )?;
-                if !from_cache {
-                    if let Some(b) = cache_builders[local].as_mut() {
-                        b.set(r, &v);
-                    }
-                    offer_stat(&self.ctx, &mut self.stat_builders, local, row_id, &v);
-                }
-                row_buf[local] = v;
-            }
-            self.out.push_back(Row(row_buf.clone()));
-            metrics.rows_emitted += 1;
             clock.stop(&mut prof.parse_ns);
         }
 
-        if let Some(c) = collector {
-            if c.rows() > 0 {
-                runtime.posmap.write().insert(c.build());
+        if let Some(c) = collector.filter(|c| c.rows() > 0) {
+            let mut pm = runtime.posmap.write();
+            for chunk in c.into_chunks(block_start, self.block_rows as usize) {
+                pm.insert(chunk);
             }
         }
         if self.flags.cache {
@@ -1155,15 +896,19 @@ impl Operator for InSituScanOp {
     }
 }
 
-// ----- chunk workers (parallel cold path) --------------------------------
+// ----- the cold-pass kernel ----------------------------------------------
 
-/// Everything one worker produced from its byte chunk. Global row ids are
-/// unknown while workers run; the merge supplies them chunk by chunk.
+/// Everything one kernel call produced from a run of consecutive records.
+/// Chunk workers do not know global row ids while they run; the merge
+/// supplies them run by run.
 struct ChunkScan {
     /// Absolute line-start offsets, in order.
     line_starts: Vec<u64>,
-    /// Chunk end byte (frontier contribution).
+    /// Byte offset one past the run's last line (frontier contribution).
     end: u64,
+    /// Whether the reader ran out of lines (end of file or chunk range)
+    /// rather than stopping at `max_rows`.
+    eof: bool,
     /// Qualifying rows, in order.
     emitted: Vec<Row>,
     /// Staged positional-map rows (attrs `0..=max_attr`).
@@ -1173,32 +918,39 @@ struct ChunkScan {
     /// Sampled values per stat builder (parallel to the op's
     /// `stat_builders`).
     stat_samples: Vec<Vec<Value>>,
-    /// Work done by this worker.
+    /// Work done by this run.
     metrics: ScanMetrics,
-    /// Phase timings/volumes accumulated by this worker.
+    /// Phase timings/volumes accumulated by this run.
     profile: PhaseProfile,
 }
 
-/// Tokenize/parse one line-aligned chunk into private staging. Runs on a
-/// worker thread; touches no shared state. `src` is the pass-wide shared
-/// source — the file was opened (and possibly mapped) once by the
-/// dispatcher, and each worker slices its own `range` out of it.
-fn scan_chunk(
+/// The cold-pass record loop: read up to `max_rows` records from
+/// `reader` and tokenize, screen, parse, filter and stage each into
+/// private staging — positional-map rows and cache values as `staging`
+/// asks, statistics samples for `stat_locals`. Touches no shared state,
+/// so it runs on the calling thread (the sequential pass, bounded to the
+/// rest of one positional-map block) or on a chunk worker (one
+/// line-aligned byte range). `first_row` is the global row id of the
+/// first record when the caller knows it: errors then name the row and
+/// statistics sample by global row id. Chunk workers pass `None` and
+/// sample by run-local row.
+fn scan_records(
     ctx: &Ctx,
-    src: Arc<ByteSource>,
-    range: ByteRange,
-    flags: AuxFlags,
+    reader: &mut LineReader,
+    max_rows: u64,
+    first_row: Option<u64>,
+    staging: AuxFlags,
     stat_locals: &[usize],
 ) -> Result<ChunkScan> {
     let max_attr = ctx.projection.last().copied().unwrap_or(0);
-    let mut reader = LineReader::from_source(src, range);
     let mut out = ChunkScan {
         line_starts: Vec::new(),
-        end: range.end,
+        end: reader.offset(),
+        eof: false,
         emitted: Vec::new(),
-        posmap: (flags.posmap && !ctx.projection.is_empty())
+        posmap: (staging.posmap && !ctx.projection.is_empty())
             .then(|| SegmentCollector::new((0..=max_attr as u32).collect())),
-        cache: flags.cache.then(|| {
+        cache: staging.cache.then(|| {
             ChunkStage::new(
                 ctx.projection
                     .iter()
@@ -1214,44 +966,56 @@ fn scan_chunk(
     let mut line = Vec::new();
     let mut starts: Vec<u32> = Vec::with_capacity(max_attr + 1);
     let mut row_buf: Vec<Value> = vec![Value::Null; ctx.projection.len()];
-    let mut local_row: u32 = 0;
-    // Same soundness condition as the sequential pass: early rejection
-    // only when this worker stages no auxiliary structure.
+    // Early rejection is only sound when this run stages no auxiliary
+    // structure: map collection and cache staging need every row's full
+    // attribute frontier, statistics need every row's WHERE values.
     let lean = out.posmap.is_none() && out.cache.is_none() && stat_locals.is_empty();
-    loop {
-        clock.start(local_row as u64);
+    let base = first_row.unwrap_or(0);
+    let mut local_row: u64 = 0;
+    while local_row < max_rows {
+        let row_id = base + local_row;
+        let at_row = first_row.map(|_| row_id);
+        clock.start(row_id);
         let fetched = reader.next_line(&mut line)?;
         clock.stop(&mut out.profile.io_ns);
-        let Some(line_start) = fetched else { break };
+        let Some(line_start) = fetched else {
+            out.eof = true;
+            break;
+        };
+        let locate = |e: NoDbError| e.at_raw_location(&ctx.path, at_row, Some(line_start));
+        let short = |found: usize, need: usize| {
+            locate(NoDbError::parse(format!(
+                "record has {found} fields, need at least {need}"
+            )))
+        };
         out.line_starts.push(line_start);
         out.metrics.bytes_tokenized += line.len() as u64 + 1;
         if ctx.projection.is_empty() {
+            // Pure row counting (e.g. COUNT(*)): nothing to tokenize.
             out.emitted.push(Row::new());
             out.metrics.rows_emitted += 1;
             local_row += 1;
             continue;
         }
         starts.clear();
+        // Pushdown fast path: tokenize only up to the predicate frontier,
+        // test, and skip the rest of the record on a miss.
         let mut prefix_found = None;
         if let Some(pred) = ctx.pred.as_ref().filter(|_| lean) {
-            clock.start(local_row as u64);
+            clock.start(row_id);
             let pfound = ctx
                 .format
                 .positions_upto(&line, pred.max_attr(), &mut starts)
-                .map_err(|e| e.at_raw_location(&ctx.path, None, Some(line_start)))?;
+                .map_err(locate)?;
             clock.stop(&mut out.profile.tokenize_ns);
             if pfound < pred.max_attr() + 1 {
-                return Err(NoDbError::parse(format!(
-                    "record has {pfound} fields, need at least {}",
-                    pred.max_attr() + 1
-                ))
-                .at_raw_location(&ctx.path, None, Some(line_start)));
+                return Err(short(pfound, pred.max_attr() + 1));
             }
             out.metrics.fields_tokenized += pfound as u64;
-            clock.start(local_row as u64);
+            clock.start(row_id);
             let metrics = &mut out.metrics;
             let keep = pred.matches(&*ctx.format, &line, &starts, &mut |local, start| {
-                parse_value(ctx, &line, start, local, None, line_start, metrics)
+                parse_value(ctx, &line, start, local, at_row, line_start, metrics)
             })?;
             clock.stop(&mut out.profile.parse_ns);
             if !keep {
@@ -1262,110 +1026,112 @@ fn scan_chunk(
             }
             prefix_found = Some(pfound);
         }
-        clock.start(local_row as u64);
+        clock.start(row_id);
         let found = match prefix_found {
+            // The row survived the screen: grow tokenization from the
+            // predicate frontier to the projection frontier.
             Some(pfound) => {
                 let total = ctx
                     .format
                     .positions_extend(&line, max_attr, &mut starts)
-                    .map_err(|e| e.at_raw_location(&ctx.path, None, Some(line_start)))?;
+                    .map_err(locate)?;
                 out.metrics.fields_tokenized += total.saturating_sub(pfound) as u64;
                 total
             }
-            None => ctx
-                .format
-                .positions_upto(&line, max_attr, &mut starts)
-                .map_err(|e| e.at_raw_location(&ctx.path, None, Some(line_start)))?,
+            None => {
+                let found = ctx
+                    .format
+                    .positions_upto(&line, max_attr, &mut starts)
+                    .map_err(locate)?;
+                out.metrics.fields_tokenized += found as u64;
+                found
+            }
         };
         clock.stop(&mut out.profile.tokenize_ns);
         if found < max_attr + 1 {
-            return Err(NoDbError::parse(format!(
-                "record has {found} fields, need at least {}",
-                max_attr + 1
-            ))
-            .at_raw_location(&ctx.path, None, Some(line_start)));
+            return Err(short(found, max_attr + 1));
         }
-        if prefix_found.is_none() {
-            out.metrics.fields_tokenized += found as u64;
-        }
+        // Keep every position tokenized along the way (§4.2, "all
+        // positions from 1 to 15 may be kept").
         if let Some(c) = out.posmap.as_mut() {
             c.push_row(&starts);
         }
 
-        for v in row_buf.iter_mut() {
-            *v = Value::Null;
-        }
-        clock.start(local_row as u64);
-        let mut ok = true;
-        for li in 0..ctx.where_locals.len() {
-            let local = ctx.where_locals[li];
-            let v = parse_value(
-                ctx,
-                &line,
-                starts[ctx.projection[local]],
-                local,
-                None,
-                line_start,
-                &mut out.metrics,
-            )?;
-            stage_chunk_value(ctx, stat_locals, &mut out, local, local_row, &v);
-            row_buf[local] = v;
-        }
-        let probe = Row(std::mem::take(&mut row_buf));
-        for f in &ctx.filters {
-            if !eval_predicate(f, &probe)? {
-                ok = false;
-                break;
-            }
-        }
-        row_buf = probe.0;
-        if ok {
-            for li in 0..ctx.select_locals.len() {
-                let local = ctx.select_locals[li];
-                let v = parse_value(
-                    ctx,
-                    &line,
-                    starts[ctx.projection[local]],
-                    local,
-                    None,
-                    line_start,
-                    &mut out.metrics,
-                )?;
-                stage_chunk_value(ctx, stat_locals, &mut out, local, local_row, &v);
-                row_buf[local] = v;
-            }
+        clock.start(row_id);
+        let (cache, samples) = (&mut out.cache, &mut out.stat_samples);
+        let metrics = &mut out.metrics;
+        let qualifies = select_record(
+            ctx,
+            &mut row_buf,
+            #[inline(always)]
+            |local| {
+                let start = starts[ctx.projection[local]];
+                let v = parse_value(ctx, &line, start, local, at_row, line_start, metrics)?;
+                if let Some(stage) = cache.as_mut() {
+                    // CAST: a run covers < 2^32 rows (u32 row ids).
+                    stage.push(local, local_row as u32, v.clone());
+                }
+                if row_id.is_multiple_of(ctx.sample_stride) {
+                    for (i, l) in stat_locals.iter().enumerate() {
+                        if *l == local {
+                            samples[i].push(v.clone());
+                        }
+                    }
+                }
+                Ok(v)
+            },
+        )?;
+        if qualifies {
             out.emitted.push(Row(row_buf.clone()));
             out.metrics.rows_emitted += 1;
         }
         clock.stop(&mut out.profile.parse_ns);
         local_row += 1;
     }
+    out.end = reader.offset();
+    // Sequential tokenization reads exactly the bytes it tokenizes.
     out.profile.io_bytes = out.metrics.bytes_tokenized;
     out.profile.tokenize_bytes = out.metrics.bytes_tokenized;
     out.profile.parse_values = out.metrics.fields_parsed;
     Ok(out)
 }
 
-/// Stage a converted value into the worker's cache stage and statistics
-/// samples.
-fn stage_chunk_value(
+/// Selective parsing and tuple formation for one record (§4.1), shared by
+/// the cold kernel and the mapped path: convert the WHERE attributes,
+/// evaluate every conjunct, and only for a qualifying record convert the
+/// SELECT attributes. `value` supplies (and stages) one projected
+/// attribute's value — a raw parse at its tokenized start, or a
+/// cache/map lookup. Returns whether the record qualified; `row_buf` then
+/// holds the projected tuple. Callers mark `value` `#[inline(always)]`:
+/// it runs once per converted field, in both loops of this body.
+fn select_record(
     ctx: &Ctx,
-    stat_locals: &[usize],
-    out: &mut ChunkScan,
-    local: usize,
-    local_row: u32,
-    v: &Value,
-) {
-    if let Some(stage) = out.cache.as_mut() {
-        stage.push(local, local_row, v.clone());
+    row_buf: &mut Vec<Value>,
+    mut value: impl FnMut(usize) -> Result<Value>,
+) -> Result<bool> {
+    for v in row_buf.iter_mut() {
+        *v = Value::Null;
     }
-    if (local_row as u64).is_multiple_of(ctx.sample_stride) {
-        for (i, l) in stat_locals.iter().enumerate() {
-            if *l == local {
-                out.stat_samples[i].push(v.clone());
-            }
+    for &local in &ctx.where_locals {
+        row_buf[local] = value(local)?;
+    }
+    // Evaluate every conjunct against the buffer itself (moved into a
+    // `Row` shell and back) — no per-conjunct clone.
+    let probe = Row(std::mem::take(row_buf));
+    let mut ok = true;
+    for f in &ctx.filters {
+        if !eval_predicate(f, &probe)? {
+            ok = false;
+            break;
         }
     }
+    *row_buf = probe.0;
+    if ok {
+        for &local in &ctx.select_locals {
+            row_buf[local] = value(local)?;
+        }
+    }
+    Ok(ok)
 }
 
 // ----- free helpers (disjoint borrows of scan state) ---------------------
@@ -1425,7 +1191,7 @@ fn value_for(
     needed: &[u32],
     local: usize,
     entries: &[AttrPositions],
-    cached: &[Option<StdArc<CachedColumn>>],
+    cached: &[Option<Arc<CachedColumn>>],
     r: usize,
     precomputed: Option<&Vec<u32>>,
     row_id: u64,

@@ -47,6 +47,7 @@
 //! ```
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use nodb_common::{DataType, Date, NoDbError, Result, Row, Schema, Value};
 use nodb_exec::{build_plan, build_plan_with_params, RowCursor};
@@ -397,7 +398,7 @@ pub struct QueryCursor {
     /// Raw-scan phase accounting for this query (shared with the scan
     /// operators inside the tree).
     scan_profile: Arc<PhaseProfileAtomic>,
-    /// Sampled cursor-iteration time (see [`QueryProfile::exec_ns`]).
+    /// Cursor-iteration time (see [`QueryProfile::exec_ns`]).
     exec_ns: u64,
     exec_clock: SampledClock,
     rows_returned: u64,
@@ -469,9 +470,18 @@ impl Iterator for QueryCursor {
     type Item = Result<Row>;
 
     fn next(&mut self) -> Option<Result<Row>> {
-        self.exec_clock.start(self.rows_returned);
+        // Until the first row, calls are timed in full: the first carries
+        // the whole build of a blocking plan (aggregate, sort, join), and
+        // scaling it as a 1-in-64 sample would overstate it 64-fold.
+        let first = (self.rows_returned == 0).then(Instant::now);
+        if first.is_none() {
+            self.exec_clock.start(self.rows_returned);
+        }
         let r = self.rows.next();
-        self.exec_clock.stop(&mut self.exec_ns);
+        match first {
+            Some(t) => self.exec_ns += t.elapsed().as_nanos() as u64,
+            None => self.exec_clock.stop(&mut self.exec_ns),
+        }
         if matches!(r, Some(Ok(_))) {
             self.rows_returned += 1;
         }

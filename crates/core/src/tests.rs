@@ -456,7 +456,6 @@ fn header_skip_survives_appends_and_parallel_scans() {
 
 #[test]
 fn parallel_scan_matches_single_threaded() {
-    let (_td, p, schema) = micro_file(2500, 12);
     let queries = [
         "select c0 from t",
         "select c1, c7 from t where c3 < 300000000",
@@ -464,10 +463,24 @@ fn parallel_scan_matches_single_threaded() {
         "select count(*) from t",
     ];
     for threads in [2usize, 3, 8] {
+        // A fresh file per fan-out: the append step below grows it.
+        let (_td, p, schema) = micro_file(2500, 12);
         let reference = engine_with(NoDbConfig::postgres_raw(), &p, &schema, AccessMode::InSitu);
         let mut cfg = NoDbConfig::postgres_raw();
         cfg.scan_threads = threads;
         let parallel = engine_with(cfg, &p, &schema, AccessMode::InSitu);
+        let assert_same_work = |step: &str| {
+            // Same tokenization/parsing work, block-for-block aux parity.
+            let mr = reference.metrics("t").unwrap();
+            let mp = parallel.metrics("t").unwrap();
+            assert_eq!(mr, mp, "{threads} threads: metrics diverged {step}");
+            let ar = reference.aux_info("t").unwrap();
+            let ap = parallel.aux_info("t").unwrap();
+            assert_eq!(ar.posmap_pointers, ap.posmap_pointers, "{step}");
+            assert_eq!(ar.posmap_bytes, ap.posmap_bytes, "{step}");
+            assert_eq!(ar.cache_bytes, ap.cache_bytes, "{step}");
+            assert_eq!(ar.stats_attrs, ap.stats_attrs, "{step}");
+        };
         for q in queries {
             // Cold and warm runs both agree.
             let a1 = reference.query(q).unwrap();
@@ -477,14 +490,17 @@ fn parallel_scan_matches_single_threaded() {
             let b2 = parallel.query(q).unwrap();
             assert_eq!(a2.rows, b2.rows, "{threads} threads, warm `{q}`");
         }
-        // Same tokenization/parsing work, block-for-block aux parity.
-        let mr = reference.metrics("t").unwrap();
-        let mp = parallel.metrics("t").unwrap();
-        assert_eq!(mr, mp, "{threads} threads: metrics diverged");
-        let ar = reference.aux_info("t").unwrap();
-        let ap = parallel.aux_info("t").unwrap();
-        assert_eq!(ar.posmap_pointers, ap.posmap_pointers);
-        assert_eq!(ar.cache_bytes, ap.cache_bytes);
+        assert_same_work("on the initial file");
+        // Append a partial block: the 1-thread pass resumes mid-block at
+        // the old frontier, the parallel pass stages the grown tail.
+        let spec = MicroGen::default().rows(2500).cols(12).seed(7);
+        spec.append_to(&p, 700).unwrap();
+        for q in queries {
+            let a = reference.query(q).unwrap();
+            let b = parallel.query(q).unwrap();
+            assert_eq!(a.rows, b.rows, "{threads} threads, after append `{q}`");
+        }
+        assert_same_work("after the append");
     }
 }
 
@@ -766,6 +782,23 @@ fn query_stream_is_lazy_and_keeps_partial_aux() {
     assert!(aux.posmap_pointers > 0, "partial scan built no positions");
     let full = db.query("select count(*) from t").unwrap();
     assert_eq!(full.rows[0].get(0), &Value::Int64(20_000));
+}
+
+#[test]
+fn exec_time_of_a_blocking_plan_is_not_scaled() {
+    let (_td, p, schema) = micro_file(20_000, 6);
+    let db = engine_with(NoDbConfig::postgres_raw(), &p, &schema, AccessMode::InSitu);
+    // The whole aggregate runs inside the cursor's first call.
+    let cursor = db.query_stream("select count(*) from t").unwrap();
+    let t = std::time::Instant::now();
+    let (r, profile) = cursor.collect_with_profile().unwrap();
+    let wall = t.elapsed().as_nanos() as u64;
+    assert_eq!(r.rows.len(), 1);
+    assert!(
+        profile.exec_ns <= wall,
+        "exec_ns {} exceeds the {wall} ns wall time",
+        profile.exec_ns
+    );
 }
 
 #[test]

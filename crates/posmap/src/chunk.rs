@@ -180,80 +180,33 @@ impl Chunk {
     }
 }
 
-/// Accumulates positions while a scan tokenizes one block, producing a
-/// [`Chunk`]. The scan pushes one row at a time with offsets for the same
-/// attribute set (the attributes it tokenized for the current query).
-#[derive(Debug)]
-pub struct BlockCollector {
-    block: u64,
-    attrs: Vec<u32>,
-    /// Row-major u32 staging; narrowed at build time.
-    staged: Vec<u32>,
-    rows: u32,
-    max_offset: u32,
-}
-
-impl BlockCollector {
-    /// Start collecting for `block`, covering `attrs` (file ordinals).
-    pub fn new(block: u64, attrs: Vec<u32>) -> BlockCollector {
-        BlockCollector {
-            block,
-            attrs,
-            staged: Vec::new(),
-            rows: 0,
-            max_offset: 0,
-        }
-    }
-
-    /// The attribute set being collected.
-    pub fn attrs(&self) -> &[u32] {
-        &self.attrs
-    }
-
-    /// Rows collected so far.
-    pub fn rows(&self) -> u32 {
-        self.rows
-    }
-
-    /// Push one row's offsets (must match `attrs` length and order).
-    pub fn push_row(&mut self, offsets: &[u32]) {
-        debug_assert_eq!(offsets.len(), self.attrs.len());
-        for &o in offsets {
-            self.max_offset = self.max_offset.max(o);
-        }
-        self.staged.extend_from_slice(offsets);
-        self.rows += 1;
-    }
-
-    /// Finish, narrowing to 16-bit storage when possible.
-    pub fn build(self) -> Chunk {
+impl OffsetStore {
+    /// Store row-major offsets, narrowed to 16 bits when `max_offset`
+    /// (the largest of them) fits.
+    fn narrowed(offsets: Vec<u32>, max_offset: u32) -> OffsetStore {
         // CAST: u16::MAX widens to u32 for the comparison; the per-offset
         // narrowing below only runs when every offset ≤ u16::MAX.
-        let offsets = if self.max_offset <= u16::MAX as u32 {
-            OffsetStore::U16(self.staged.iter().map(|&o| o as u16).collect())
+        if max_offset <= u16::MAX as u32 {
+            OffsetStore::U16(offsets.iter().map(|&o| o as u16).collect())
         } else {
-            OffsetStore::U32(self.staged)
-        };
-        Chunk {
-            block: self.block,
-            rows: self.rows,
-            attrs: self.attrs,
-            offsets,
+            OffsetStore::U32(offsets)
         }
     }
 }
 
-/// Accumulates row-major positions for a run of consecutive rows whose
-/// *global* row ids are unknown while chunk workers scan byte ranges of
-/// the file in parallel. The merge phase, which knows where the run
-/// starts, cuts the staged rows into block-aligned [`Chunk`]s with
-/// [`SegmentCollector::into_chunks`].
+/// Accumulates row-major positions for a run of consecutive rows while a
+/// scan tokenizes them, producing block-aligned [`Chunk`]s. The run's
+/// *global* first row may be unknown while it is collected (chunk
+/// workers scan byte ranges of the file in parallel); whoever knows it
+/// cuts the staged rows with [`SegmentCollector::into_chunks`].
 #[derive(Debug)]
 pub struct SegmentCollector {
     attrs: Vec<u32>,
-    /// Row-major u32 staging, `rows × attrs.len()`.
+    /// Row-major u32 staging, `rows × attrs.len()`; narrowed per chunk.
     staged: Vec<u32>,
     rows: u32,
+    /// Largest staged offset.
+    max_offset: u32,
 }
 
 impl SegmentCollector {
@@ -263,6 +216,7 @@ impl SegmentCollector {
             attrs,
             staged: Vec::new(),
             rows: 0,
+            max_offset: 0,
         }
     }
 
@@ -274,6 +228,9 @@ impl SegmentCollector {
     /// Push one row's offsets (must match the attr set's length/order).
     pub fn push_row(&mut self, offsets: &[u32]) {
         debug_assert_eq!(offsets.len(), self.attrs.len());
+        for &o in offsets {
+            self.max_offset = self.max_offset.max(o);
+        }
         self.staged.extend_from_slice(offsets);
         self.rows += 1;
     }
@@ -284,12 +241,15 @@ impl SegmentCollector {
         debug_assert_eq!(self.attrs, other.attrs);
         self.staged.extend_from_slice(&other.staged);
         self.rows += other.rows;
+        self.max_offset = self.max_offset.max(other.max_offset);
     }
 
     /// Cut the segment into block-aligned chunks, given the global row id
     /// of its first row. A leading partial block (when `first_row` is not
     /// on a block boundary) is skipped — chunk storage is anchored at
-    /// block starts — while the trailing chunk may be short.
+    /// block starts — while the trailing chunk may be short. A segment
+    /// that is one block from its start hands its staging to the chunk
+    /// without a copy.
     pub fn into_chunks(self, first_row: u64, block_rows: usize) -> Vec<Chunk> {
         let n = self.attrs.len();
         let br = block_rows.max(1) as u64;
@@ -297,6 +257,14 @@ impl SegmentCollector {
             return Vec::new();
         }
         let misalign = (first_row % br) as usize;
+        if misalign == 0 && self.rows as u64 <= br {
+            return vec![Chunk {
+                block: first_row / br,
+                rows: self.rows,
+                attrs: self.attrs,
+                offsets: OffsetStore::narrowed(self.staged, self.max_offset),
+            }];
+        }
         let mut r = if misalign == 0 {
             0
         } else {
@@ -305,13 +273,16 @@ impl SegmentCollector {
         let mut out = Vec::new();
         while r < self.rows as usize {
             let row_id = first_row + r as u64;
-            let block = row_id / br;
-            let take = (((block + 1) * br - row_id) as usize).min(self.rows as usize - r);
-            let mut c = BlockCollector::new(block, self.attrs.clone());
-            for i in r..r + take {
-                c.push_row(&self.staged[i * n..(i + 1) * n]);
-            }
-            out.push(c.build());
+            let take = (((row_id / br + 1) * br - row_id) as usize).min(self.rows as usize - r);
+            let offsets = &self.staged[r * n..(r + take) * n];
+            let max_offset = offsets.iter().copied().max().unwrap_or(0);
+            out.push(Chunk {
+                block: row_id / br,
+                // CAST: take ≤ rows, which is a u32.
+                rows: take as u32,
+                attrs: self.attrs.clone(),
+                offsets: OffsetStore::narrowed(offsets.to_vec(), max_offset),
+            });
             r += take;
         }
         out
@@ -324,12 +295,19 @@ mod tests {
     use nodb_common::TempDir;
     use proptest::prelude::*;
 
+    /// Collect `rows` as the whole of `block` (block size 4096).
+    fn block_chunk(block: u64, attrs: Vec<u32>, rows: &[&[u32]]) -> Chunk {
+        let mut c = SegmentCollector::new(attrs);
+        for r in rows {
+            c.push_row(r);
+        }
+        let mut chunks = c.into_chunks(block * 4096, 4096);
+        assert_eq!(chunks.len(), 1);
+        chunks.remove(0)
+    }
+
     fn sample_chunk() -> Chunk {
-        let mut c = BlockCollector::new(3, vec![4, 7]);
-        c.push_row(&[10, 40]);
-        c.push_row(&[12, 44]);
-        c.push_row(&[9, 38]);
-        c.build()
+        block_chunk(3, vec![4, 7], &[&[10, 40], &[12, 44], &[9, 38]])
     }
 
     #[test]
@@ -345,9 +323,7 @@ mod tests {
 
     #[test]
     fn wide_offsets_use_u32() {
-        let mut c = BlockCollector::new(0, vec![0]);
-        c.push_row(&[70_000]);
-        let c = c.build();
+        let c = block_chunk(0, vec![0], &[&[70_000]]);
         assert!(matches!(c.offsets, OffsetStore::U32(_)));
         assert_eq!(c.offset(0, 0), 70_000);
     }
@@ -411,6 +387,19 @@ mod tests {
     }
 
     #[test]
+    fn segment_collector_narrows_each_chunk_on_its_own() {
+        let mut s = SegmentCollector::new(vec![0]);
+        for r in 0..6u32 {
+            s.push_row(&[if r == 5 { 70_000 } else { r }]);
+        }
+        // Only block 1 (rows 4..6) holds the wide offset.
+        let chunks = s.into_chunks(0, 4);
+        assert!(matches!(chunks[0].offsets, OffsetStore::U16(_)));
+        assert!(matches!(chunks[1].offsets, OffsetStore::U32(_)));
+        assert_eq!(chunks[1].attr_column(0), vec![4, 70_000]);
+    }
+
+    #[test]
     fn segment_collector_append_concatenates_workers() {
         let mut a = SegmentCollector::new(vec![0]);
         a.push_row(&[10]);
@@ -432,11 +421,14 @@ mod tests {
                 proptest::collection::vec(0u32..100_000, 6), 0..20),
         ) {
             let nattrs = attrs.len();
-            let mut coll = BlockCollector::new(7, attrs);
-            for r in &rows {
-                coll.push_row(&r[..nattrs]);
-            }
-            let c = coll.build();
+            let flat: Vec<u32> = rows.iter().flat_map(|r| r[..nattrs].iter().copied()).collect();
+            let max_offset = flat.iter().copied().max().unwrap_or(0);
+            let c = Chunk {
+                block: 7,
+                rows: rows.len() as u32,
+                attrs,
+                offsets: OffsetStore::narrowed(flat, max_offset),
+            };
             let mut buf = Vec::new();
             c.serialize(&mut buf);
             prop_assert_eq!(Chunk::deserialize(&buf).unwrap(), c);

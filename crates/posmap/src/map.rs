@@ -549,16 +549,19 @@ impl PositionalMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::BlockCollector;
+    use crate::chunk::SegmentCollector;
     use nodb_common::TempDir;
 
     fn chunk(block: u64, attrs: &[u32], rows: u32, base: u32) -> Chunk {
-        let mut c = BlockCollector::new(block, attrs.to_vec());
+        let mut c = SegmentCollector::new(attrs.to_vec());
         for r in 0..rows {
             let offs: Vec<u32> = attrs.iter().map(|&a| base + a * 10 + r).collect();
             c.push_row(&offs);
         }
-        c.build()
+        let br = PosMapConfig::default().block_rows;
+        c.into_chunks(block * br as u64, br)
+            .pop()
+            .expect("one chunk per block")
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`LogicalPlan`]: one node per plan
 //! operator carrying its estimates, pushed-down predicates and shape,
 //! plus the list of rewrite rules that fired. Tests assert on the tree;
-//! humans get the exact same text the pre-typed API produced, via
-//! [`ExplainPlan::render`] / `Display`.
+//! humans get indented text via [`ExplainPlan::render`] / `Display`
+//! (also what `LogicalPlan::explain` returns).
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -110,8 +110,7 @@ impl ExplainPlan {
         }
     }
 
-    /// The classic indented text rendering — byte-identical to what
-    /// `LogicalPlan::explain` produced before EXPLAIN became typed.
+    /// The indented text rendering, one operator per line.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.root.fmt_indent(&mut out, 0);
@@ -318,7 +317,8 @@ impl ExplainNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{BinOp, BoundExpr};
+    use crate::expr::{AggExpr, AggFunc, BinOp, BoundExpr};
+    use crate::plan::{AggStrategy, JoinKind, SortKey};
     use nodb_common::{DataType, Schema, Value};
 
     fn sample_plan() -> LogicalPlan {
@@ -339,12 +339,94 @@ mod tests {
         }
     }
 
+    /// A plan with every operator kind: a join with a residual and a
+    /// filtered side, an aggregate, a projection, distinct, sort, limit.
+    fn multi_node_plan() -> LogicalPlan {
+        let kv = Schema::from_pairs(&[("k", DataType::Int32), ("v", DataType::Int32)]).unwrap();
+        let scan = |table: &str, estimated_rows: f64| LogicalPlan::Scan {
+            table: table.into(),
+            projection: vec![0, 1],
+            filters: Vec::new(),
+            schema: kv.clone(),
+            estimated_rows,
+        };
+        let cmp = |op, left, right| BoundExpr::Binary {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        };
+        let join = LogicalPlan::Join {
+            left: Box::new(scan("l", 100.0)),
+            right: Box::new(LogicalPlan::Filter {
+                input: Box::new(scan("r", 50.0)),
+                predicate: cmp(
+                    BinOp::Gt,
+                    BoundExpr::Col(1),
+                    BoundExpr::Lit(Value::Int64(3)),
+                ),
+            }),
+            on: vec![(0, 0)],
+            residual: Some(cmp(BinOp::Lt, BoundExpr::Col(1), BoundExpr::Col(3))),
+            kind: JoinKind::Inner,
+            schema: kv.clone(),
+            estimated_rows: 75.0,
+        };
+        let count = AggExpr {
+            func: AggFunc::Count,
+            arg: None,
+        };
+        let agg = LogicalPlan::Aggregate {
+            input: Box::new(join),
+            group: vec![0],
+            aggs: vec![count.clone(), count],
+            strategy: AggStrategy::Hash,
+            schema: kv.clone(),
+        };
+        let project = LogicalPlan::Project {
+            input: Box::new(agg),
+            exprs: vec![BoundExpr::Col(1), BoundExpr::Col(0)],
+            schema: kv,
+        };
+        let sort = LogicalPlan::Sort {
+            input: Box::new(LogicalPlan::Distinct {
+                input: Box::new(project),
+            }),
+            keys: vec![
+                SortKey { col: 0, desc: true },
+                SortKey {
+                    col: 1,
+                    desc: false,
+                },
+            ],
+        };
+        LogicalPlan::Limit {
+            input: Box::new(sort),
+            n: 5,
+        }
+    }
+
     #[test]
-    fn render_matches_legacy_text_exactly() {
-        let plan = sample_plan();
+    fn render_text_is_pinned() {
+        let expected = "\
+Limit 5
+  Sort [#0 desc, #1]
+    Distinct
+      Project [#1, #0]
+        HashAggregate group=[0] aggs=2
+          InnerJoin on=[(0, 0)] residual=(#1 < #3) (~75 rows)
+            Scan l proj=[0, 1] (~100 rows)
+            Filter (#1 > 3)
+              Scan r proj=[0, 1] (~50 rows)
+";
+        let plan = multi_node_plan();
         let typed = ExplainPlan::from_plan(&plan, vec!["simplify_bool"]);
-        assert_eq!(typed.render(), plan.explain());
-        assert_eq!(typed.to_string(), plan.explain());
+        assert_eq!(typed.render(), expected);
+        assert_eq!(typed.to_string(), expected);
+        assert_eq!(plan.explain(), expected);
+        assert_eq!(
+            ExplainPlan::from_plan(&sample_plan(), Vec::new()).render(),
+            "Limit 10\n  Scan t proj=[0, 2] filters=[(#0 < 5)] (~42 rows)\n"
+        );
     }
 
     #[test]

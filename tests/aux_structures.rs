@@ -148,6 +148,63 @@ fn shrunken_file_invalidates_and_recovers() {
     assert_eq!(r.rows[0].get(0), &Value::Int32(900));
 }
 
+/// A 3-row CSV (`sum(b)` = 60) and a `postgres_raw` engine whose
+/// auxiliary structures already cover it.
+fn three_rows() -> (TempDir, PathBuf, Schema, NoDb) {
+    let td = TempDir::new("nodb-aux").unwrap();
+    let p = td.file("t.csv");
+    std::fs::write(&p, "1,10\n2,20\n3,30\n").unwrap();
+    let s = Schema::parse("a int, b int").unwrap();
+    let db = engine(NoDbConfig::postgres_raw(), &p, &s);
+    assert_eq!(sum_b(&db), 60);
+    (td, p, s, db)
+}
+
+fn sum_b(db: &NoDb) -> i64 {
+    let r = db.query("select sum(b) from t").unwrap();
+    r.rows[0].get(0).as_i64().unwrap()
+}
+
+/// The warm engine answers what a freshly registered one does.
+fn assert_sum_matches_fresh(db: &NoDb, p: &std::path::Path, s: &Schema, truth: i64) {
+    assert_eq!(sum_b(&engine(NoDbConfig::postgres_raw(), p, s)), truth);
+    assert_eq!(
+        sum_b(db),
+        truth,
+        "stale answer after the file was rewritten"
+    );
+}
+
+#[test]
+fn same_length_rewrite_invalidates() {
+    let (_td, p, s, db) = three_rows();
+    let before = std::fs::metadata(&p).unwrap().modified().unwrap();
+    std::fs::write(&p, "1,90\n2,90\n3,90\n").unwrap();
+    std::fs::File::options()
+        .write(true)
+        .open(&p)
+        .unwrap()
+        .set_modified(before + std::time::Duration::from_secs(1))
+        .unwrap();
+    assert_sum_matches_fresh(&db, &p, &s, 270);
+}
+
+#[test]
+fn longer_rewrite_is_not_an_append() {
+    let (_td, p, s, db) = three_rows();
+    std::fs::write(&p, "1,100\n2,200\n3,300\n").unwrap();
+    assert_sum_matches_fresh(&db, &p, &s, 600);
+}
+
+#[test]
+fn rename_replace_invalidates() {
+    let (td, p, s, db) = three_rows();
+    let tmp = td.file("t.csv.next");
+    std::fs::write(&tmp, "1,11\n2,22\n3,33\n4,99\n").unwrap();
+    std::fs::rename(&tmp, &p).unwrap();
+    assert_sum_matches_fresh(&db, &p, &s, 165);
+}
+
 #[test]
 fn fits_provider_plugs_into_the_engine() {
     use nodb_fits::{FitsProvider, FitsTableWriter, FitsType};
